@@ -16,14 +16,18 @@ per function), the cache is keyed at **function granularity**:
 * a **front-end blob** per function, keyed by the chained dependency
   fingerprint of :mod:`repro.driver.incremental` (own span + referenced
   symbol facts + transitive callee REF/MOD), holding the function's HLI
-  entry (via :mod:`repro.hli.binio`), its analysis artifacts, and its
-  pristine RTL;
+  entry (via :mod:`repro.hli.binio`), its pristine RTL, and its
+  analysis unit;
 * a **back-end blob** per function, keyed by the front-end key plus the
   back-end pass fingerprint and scheduling knobs, holding the
   optimized+scheduled RTL, the maintained HLI entry, the mapping /
-  scheduling statistics, **and the function's analysis unit** — so a
-  warm function skips the back end *without ever touching the
-  front-end tier*.
+  scheduling statistics, **and the same analysis unit** — so a warm
+  function skips the back end *without ever touching the front-end
+  tier*.
+
+Both per-function kinds share one layout (entry, payload, unit chunk),
+and a function's unit is encoded once per compile: its front-end and
+back-end blobs carry byte-identical unit chunks.
 
 All payloads beyond the raw binio tables ride the self-describing
 :mod:`repro.binfmt` codec — **no pickle anywhere**: a corrupted or
@@ -32,11 +36,12 @@ malicious blob can only ever produce registered types or a clean
 into every frame header *and* folded into every cache key, so a codec
 change retires stale blobs by eviction instead of decode errors.
 
-On a manifest miss the session parses, fingerprints every function, and
-splices cached functions around the edited ones — probing the back-end
+Every function restores through one resolver that probes the back-end
 tier *first* (a function whose fingerprint and knobs both match needs
-no front-end restore at all), then the front-end tier, rebuilding only
-the invalidated rest.  ``Compilation.cache_state`` reports
+no front-end restore at all), then the front-end tier.  On a manifest
+miss the session parses, fingerprints every function, and splices the
+resolved functions around the edited ones, rebuilding only the
+invalidated rest.  ``Compilation.cache_state`` reports
 ``"incremental"`` for such mixed compiles and
 ``Compilation.fn_cache_states`` breaks the story down per function.
 
@@ -44,16 +49,17 @@ Cache entries are **verified, not trusted**: a checksum guards every
 blob, HLI payloads must decode through the real binio reader, and any
 failure (truncation, bit-flips, version skew, codec-fingerprint skew)
 degrades to a cold build — never a crash, never wrong code.  The disk
-tier shards entries git-object style (``ab/cdef….hlic``), migrates
-legacy flat files on first touch, and enforces an optional size budget
-by least-recently-used eviction (``max_disk_bytes``).
+tier shards entries git-object style (``ab/cdef….hlic``) and enforces
+an optional size budget by least-recently-used eviction
+(``max_disk_bytes``).
 
 ``compile_many`` fans a batch out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  With more files than
-workers it parallelizes per file (each worker shares the on-disk tier);
-with spare workers it parallelizes per *function* — the front ends run
-in-process and every invalidated function's back end becomes one pool
-task, so parallelism scales with program size rather than file count.
+workers it runs each file as a one-job :meth:`CompilationSession.compile_partitions`
+partition (each worker shares the on-disk tier); with spare workers it
+parallelizes per *function* — the front ends run in-process and every
+invalidated function's back end becomes one pool task, so parallelism
+scales with program size rather than file count.
 """
 
 from __future__ import annotations
@@ -125,7 +131,7 @@ class CompileJob:
 
 #: Bumped whenever the blob layout or any serialized artifact changes.
 CACHE_MAGIC = b"HLIC"
-CACHE_VERSION = 4  # 4: zero-pickle binfmt payloads, key-table manifest
+CACHE_VERSION = 5  # 5: one FE/BE layout sharing an encode-once unit chunk
 
 #: First 8 bytes of the binfmt registry fingerprint, stamped into every
 #: frame header: a codec change (new field, reordered type) makes every
@@ -140,6 +146,12 @@ _CODEC_FP = bytes.fromhex(_binfmt.fingerprint()[:16])
 _TAG_MANIFEST = b"MF"
 _TAG_FE = b"FE"
 _TAG_BE = b"BE"
+
+#: per-function blob kind -> (resolved kind, hit counter prefix, hit metric)
+_FN_TIERS = {
+    _TAG_BE: ("be", "be_hits_", "session.cache.be_hit"),
+    _TAG_FE: ("fe", "fn_hits_", "session.cache.fn_hit"),
+}
 
 
 class CacheCorruption(Exception):
@@ -346,7 +358,7 @@ class _LazyFrontEnd(FrontEndInfo):
     """
 
     def __getstate__(self):
-        # Compilations cross process-pool boundaries (file-granularity
+        # Compilations cross process-pool boundaries (the partition
         # fan-out); the stats callback must not travel — the blob does,
         # so the receiver stays lazy.
         state = dict(self.__dict__)
@@ -504,96 +516,108 @@ def _decode_manifest(data: bytes) -> _Manifest:
         raise CacheCorruption(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _encode_fn_fe(entry: HLIEntry, unit: UnitInfo, fn_rtl: RTLFunction) -> bytes:
-    """Serialize one function's pristine front-end artifacts."""
-    body = io.BytesIO()
-    _w_chunk(body, encode_entry(entry))
-    _w_chunk(body, _binfmt.encode((unit, fn_rtl)))
-    return _frame(_TAG_FE, body.getvalue())
+@dataclass
+class _FnBlob:
+    """One decoded per-function blob (front-end or back-end kind).
+
+    ``unit_chunk`` is the stored ``binfmt`` encoding of the analysis unit,
+    kept as raw bytes so a re-store copies it without a decode/encode
+    round trip; ``unit`` is only materialized when the caller asks.  The
+    stats fields stay ``None`` for front-end blobs.
+    """
+
+    entry: HLIEntry
+    fn_rtl: RTLFunction
+    unit_chunk: bytes
+    unit: Optional[UnitInfo] = None
+    map_stats: Optional[MapStats] = None
+    dep_stats: Optional[DepStats] = None
+    opt_frag: object = None
 
 
-def _decode_fn_fe(data: bytes) -> tuple[HLIEntry, UnitInfo, RTLFunction]:
-    try:
-        payload = _unframe(_TAG_FE, data)
-        entry_bytes, pos = _r_chunk(payload, 0)
-        rest, _ = _r_chunk(payload, pos)
-        entry = decode_entry(bytes(entry_bytes))
-        unit, fn_rtl = _binfmt.decode(bytes(rest))
-        if not isinstance(unit, UnitInfo) or not isinstance(fn_rtl, RTLFunction):
-            raise CacheCorruption("decoded unit artifacts have the wrong types")
-        if entry.unit_name != fn_rtl.name:
-            raise CacheCorruption("entry / RTL unit-name mismatch")
-        return entry, unit, fn_rtl
-    except CacheCorruption:
-        raise
-    except Exception as exc:
-        raise CacheCorruption(f"{type(exc).__name__}: {exc}") from exc
-
-
-def _encode_fn_be(
-    fn_rtl: RTLFunction,
+def _encode_fn(
+    tag: bytes,
     entry: HLIEntry,
-    map_stats: Optional[MapStats],
-    dep_stats: Optional[DepStats],
-    opt_frag,
-    unit: Optional[UnitInfo] = None,
+    fn_rtl: RTLFunction,
+    unit_chunk: bytes,
+    map_stats: Optional[MapStats] = None,
+    dep_stats: Optional[DepStats] = None,
+    opt_frag=None,
 ) -> bytes:
-    """Serialize one function's finished back-end artifacts.
+    """Serialize one function's front-end (``FE``) or back-end (``BE``) blob.
 
-    The entry is the *maintained* one (post unroll/cse/licm table
-    updates); its generation counter rides alongside so a restored query
-    sees exactly the state an in-process compile would have left.  The
-    analysis ``unit`` rides in its own chunk: the back end never mutates
-    it, so storing it here lets a warm restore skip the front-end tier
-    entirely (decoders that do not need it leave the chunk untouched).
+    Both kinds are ``[encode_entry][binfmt payload][unit chunk]``.  The
+    front-end payload is the pristine RTL; the back-end payload is the
+    finished RTL plus the *maintained* entry's generation counter (so a
+    restored query sees exactly the state an in-process compile left)
+    and the mapping / scheduling / optimization stats.  ``unit_chunk`` is
+    ``binfmt.encode(unit)``, encoded once per compile and shared by both
+    blobs of a function: the back end never mutates the unit.
     """
+    if tag == _TAG_FE:
+        payload = fn_rtl
+    else:
+        payload = (fn_rtl, entry.generation, map_stats, dep_stats, opt_frag)
     body = io.BytesIO()
     _w_chunk(body, encode_entry(entry))
-    _w_chunk(
-        body,
-        _binfmt.encode((fn_rtl, entry.generation, map_stats, dep_stats, opt_frag)),
-    )
-    _w_chunk(body, _binfmt.encode(unit))
-    return _frame(_TAG_BE, body.getvalue())
+    _w_chunk(body, _binfmt.encode(payload))
+    _w_chunk(body, unit_chunk)
+    return _frame(tag, body.getvalue())
 
 
-def _decode_fn_be(data: bytes, want_unit: bool = False):
-    """Verified decode of :func:`_encode_fn_be` output.
+def _decode_fn(tag: bytes, data: bytes, want_unit: bool = False) -> _FnBlob:
+    """Verified decode of :func:`_encode_fn` output for blob kind ``tag``.
 
-    Returns ``(fn_rtl, entry, map_stats, dep_stats, opt_frag, unit)``;
-    ``unit`` is ``None`` unless ``want_unit`` — the unit chunk is only
-    deserialized when the caller (the manifest-miss path, which may need
-    to re-store the function) asks for it.
+    The unit chunk is only deserialized when ``want_unit`` — callers that
+    merely re-store it (or never read it) leave it encoded.  Raises
+    :class:`CacheCorruption` on any defect.
     """
     try:
-        payload = _unframe(_TAG_BE, data)
+        payload = _unframe(tag, data)
         entry_bytes, pos = _r_chunk(payload, 0)
-        rest, pos = _r_chunk(payload, pos)
-        unit_bytes, _ = _r_chunk(payload, pos)
-        entry = decode_entry(bytes(entry_bytes))
-        fn_rtl, generation, map_stats, dep_stats, opt_frag = _binfmt.decode(
-            bytes(rest)
-        )
-        if not isinstance(fn_rtl, RTLFunction) or entry.unit_name != fn_rtl.name:
-            raise CacheCorruption("decoded back-end RTL has the wrong shape")
-        if not isinstance(generation, int) or generation < 0:
-            raise CacheCorruption("bad entry generation")
-        if map_stats is not None and not isinstance(map_stats, MapStats):
-            raise CacheCorruption("decoded map stats have the wrong type")
-        if dep_stats is not None and not isinstance(dep_stats, DepStats):
-            raise CacheCorruption("decoded dep stats have the wrong type")
-        if opt_frag is not None:
-            from ..backend.passes import OptStats
+        body, pos = _r_chunk(payload, pos)
+        unit_chunk, _ = _r_chunk(payload, pos)
+        entry = decode_entry(entry_bytes)
+        if tag == _TAG_FE:
+            fn_rtl = _binfmt.decode(body)
+            if not isinstance(fn_rtl, RTLFunction):
+                raise CacheCorruption("decoded unit artifacts have the wrong types")
+            if entry.unit_name != fn_rtl.name:
+                raise CacheCorruption("entry / RTL unit-name mismatch")
+            fn = _FnBlob(entry, fn_rtl, unit_chunk)
+        else:
+            fn_rtl, generation, map_stats, dep_stats, opt_frag = _binfmt.decode(body)
+            if not isinstance(fn_rtl, RTLFunction) or entry.unit_name != fn_rtl.name:
+                raise CacheCorruption("decoded back-end RTL has the wrong shape")
+            if not isinstance(generation, int) or generation < 0:
+                raise CacheCorruption("bad entry generation")
+            if map_stats is not None and not isinstance(map_stats, MapStats):
+                raise CacheCorruption("decoded map stats have the wrong type")
+            if dep_stats is not None and not isinstance(dep_stats, DepStats):
+                raise CacheCorruption("decoded dep stats have the wrong type")
+            if opt_frag is not None:
+                from ..backend.passes import OptStats
 
-            if not isinstance(opt_frag, OptStats):
-                raise CacheCorruption("decoded opt stats have the wrong type")
-        entry.generation = generation
-        unit = None
+                if not isinstance(opt_frag, OptStats):
+                    raise CacheCorruption("decoded opt stats have the wrong type")
+            entry.generation = generation
+            fn = _FnBlob(
+                entry,
+                fn_rtl,
+                unit_chunk,
+                map_stats=map_stats,
+                dep_stats=dep_stats,
+                opt_frag=opt_frag,
+            )
         if want_unit:
-            unit = _binfmt.decode(bytes(unit_bytes))
-            if unit is not None and not isinstance(unit, UnitInfo):
+            fn.unit = _binfmt.decode(unit_chunk)
+            # back-end blobs may carry no unit (the function fan-out's
+            # worker results); front-end blobs always carry one
+            if not isinstance(fn.unit, UnitInfo) and (
+                tag == _TAG_FE or fn.unit is not None
+            ):
                 raise CacheCorruption("decoded unit has the wrong type")
-        return fn_rtl, entry, map_stats, dep_stats, opt_frag, unit
+        return fn
     except CacheCorruption:
         raise
     except Exception as exc:
@@ -615,8 +639,8 @@ class _Prepared:
     fe_keys: dict[str, str]
     #: functions the back-end passes must actually run over
     active: list[str]
-    #: analysis units for the active functions (feeds back-end stores)
-    units: dict[str, UnitInfo] = field(default_factory=dict)
+    #: encoded analysis units of the active functions (feeds back-end stores)
+    unit_chunks: dict[str, bytes] = field(default_factory=dict)
 
 
 # -- the session ---------------------------------------------------------------
@@ -673,12 +697,6 @@ class CompilationSession:
             return None
         return self.cache_dir / key[:2] / f"{key[2:]}.hlic"
 
-    def _flat_path(self, key: str) -> Optional[Path]:
-        """Legacy unsharded location; migrated on first touch."""
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{key}.hlic"
-
     def _lookup(self, key: str) -> tuple[Optional[bytes], str]:
         """Return ``(blob, tier)``; tier is ``"memory"``, ``"disk"``, or ``""``."""
         with self._lock:
@@ -692,18 +710,7 @@ class CompilationSession:
         try:
             blob = path.read_bytes()
         except OSError:
-            blob = None
-        if blob is None:
-            flat = self._flat_path(key)
-            try:
-                blob = flat.read_bytes()
-            except OSError:
-                return None, ""
-            try:  # migrate the flat entry into the sharded layout
-                path.parent.mkdir(exist_ok=True)
-                os.replace(flat, path)
-            except OSError:
-                pass
+            return None, ""
         try:  # LRU recency for the disk budget
             os.utime(path)
         except OSError:
@@ -785,13 +792,12 @@ class CompilationSession:
         _metrics.inc("session.cache.corrupt")
         with self._lock:
             self._memory.pop(key, None)
-        if tier == "disk":
-            for path in (self._disk_path(key), self._flat_path(key)):
-                if path is not None:
-                    try:
-                        path.unlink(missing_ok=True)
-                    except OSError:
-                        pass
+        path = self._disk_path(key)
+        if tier == "disk" and path is not None:
+            try:
+                path.unlink(missing_ok=True)
+            except OSError:
+                pass
 
     # -- compilation -----------------------------------------------------------
 
@@ -863,23 +869,15 @@ class CompilationSession:
         restored = None
         if man is not None:
             restored = self._restore_manifest(
-                man,
-                key,
-                tier,
-                blob,
-                source,
-                filename,
-                opts,
-                prefix,
-                suffix,
+                man, key, tier, blob, source, filename, opts, prefix, suffix,
                 external_effects,
             )
         if restored is not None:
-            comp, stats, fe_keys, fn_states, active, units = restored
+            comp, stats, fe_keys, fn_states, active, unit_chunks = restored
         else:
             self._bump("misses")
             _metrics.inc("session.cache.miss")
-            comp, stats, fe_keys, fn_states, active, units = (
+            comp, stats, fe_keys, fn_states, active, unit_chunks = (
                 self._frontend_incremental(
                     key,
                     source,
@@ -900,8 +898,46 @@ class CompilationSession:
             stats=stats,
             fe_keys=fe_keys,
             active=active,
-            units=units,
+            unit_chunks=unit_chunks,
         )
+
+    def _resolve_fn(
+        self, fe_key: str, be_key: Optional[str], want_unit: bool
+    ) -> Optional[tuple[str, str, _FnBlob]]:
+        """Serve one function from the per-function tiers, back end first.
+
+        Returns ``(kind, tier, decoded)`` — ``kind`` is ``"be"`` or
+        ``"fe"``, ``tier`` is ``"memory"`` or ``"disk"`` — or ``None``
+        when neither tier holds a valid blob.  ``be_key=None`` skips the
+        back-end tier.  Corrupt blobs are evicted, disk hits are promoted
+        to memory, and the ``be_*`` / ``fn_*`` / ``*_decodes`` counters
+        move here for every caller; only ``fn_misses`` is the caller's
+        (a manifest hit treats a miss as a broken manifest instead).
+        """
+        probes = [(_TAG_FE, fe_key)]
+        if be_key is not None:
+            probes.insert(0, (_TAG_BE, be_key))
+        for tag, key in probes:
+            blob, tier = self._lookup(key)
+            decoded = None
+            if blob is not None:
+                try:
+                    decoded = _decode_fn(tag, blob, want_unit)
+                except CacheCorruption as exc:
+                    self._evict_corrupt(key, tier, str(exc))
+            if decoded is None:
+                if tag == _TAG_BE:
+                    self._bump("be_misses")
+                    _metrics.inc("session.cache.be_miss")
+                continue
+            kind, hit_counter, hit_metric = _FN_TIERS[tag]
+            self._bump(hit_counter + tier)
+            if tier == "disk":
+                self._remember(key, blob)
+            self._bump(kind + "_decodes")
+            _metrics.inc(hit_metric, tier)
+            return kind, tier, decoded
+        return None
 
     def _restore_manifest(
         self,
@@ -919,7 +955,8 @@ class CompilationSession:
         """Rebuild a compilation purely from cached blobs, or ``None``.
 
         Every function restores from its back-end blob when the knobs
-        match (zero front-end traffic), else from its front-end blob.
+        match (zero front-end traffic), else from its front-end blob,
+        whose unit chunk is kept encoded for the back-end re-store.
         A function with *neither* blob (LRU-evicted, corrupted) fails
         the whole restore: the manifest is evicted (counted under
         ``corrupt``) and the caller falls back to the incremental path,
@@ -944,59 +981,25 @@ class CompilationSession:
         backend_fp = _backend_fp(suffix) if use_be else ""
         fn_states: dict[str, str] = {}
         active: list[str] = []
-        units: dict[str, UnitInfo] = {}
+        unit_chunks: dict[str, bytes] = {}
         for name, fe_key in man.fe_keys.items():
-            frame = (man.frames[name], man.frame_sizes[name])
-            decoded = None
-            btier = ""
-            if use_be:
-                bkey = _be_key(fe_key, opts, backend_fp)
-                bblob, btier = self._lookup(bkey)
-                if bblob is not None:
-                    try:
-                        decoded = _decode_fn_be(bblob)
-                    except CacheCorruption as exc:
-                        self._evict_corrupt(bkey, btier, str(exc))
-            if decoded is not None:
-                if btier == "memory":
-                    self._bump("be_hits_memory")
-                else:
-                    self._bump("be_hits_disk")
-                    self._remember(bkey, bblob)
-                self._bump("be_decodes")
-                _metrics.inc("session.cache.be_hit", btier)
-                self._install_be(comp, name, decoded, frame=frame)
-                fn_states[name] = f"be:{btier}"
-                continue
-            if use_be:
-                self._bump("be_misses")
-                _metrics.inc("session.cache.be_miss")
-            fblob, ftier = self._lookup(fe_key)
-            fdec = None
-            if fblob is not None:
-                try:
-                    fdec = _decode_fn_fe(fblob)
-                except CacheCorruption as exc:
-                    self._evict_corrupt(fe_key, ftier, str(exc))
-            if fdec is None:
+            bkey = _be_key(fe_key, opts, backend_fp) if use_be else None
+            hit = self._resolve_fn(fe_key, bkey, want_unit=False)
+            if hit is None:
                 self._evict_corrupt(key, tier, f"function blob missing: {name}")
                 return None
-            entry, unit, fn_rtl = fdec
-            if ftier == "memory":
-                self._bump("fn_hits_memory")
-            else:
-                self._bump("fn_hits_disk")
-                self._remember(fe_key, fblob)
-            self._bump("fe_decodes")
-            _metrics.inc("session.cache.fn_hit", ftier)
-            fmap, fsize = frame
-            fn_rtl.frame = dict(fmap)
-            fn_rtl.frame_size = fsize
-            entry.filename = man.source_filename or filename
-            comp.rtl.functions[name] = fn_rtl
-            comp.hli.add(entry)
-            units[name] = unit
-            fn_states[name] = f"fe:{ftier}"
+            kind, ftier, fn = hit
+            fn_states[name] = f"{kind}:{ftier}"
+            frame = (man.frames[name], man.frame_sizes[name])
+            if kind == "be":
+                self._install_be(comp, name, fn, frame=frame)
+                continue
+            fn.fn_rtl.frame = dict(frame[0])
+            fn.fn_rtl.frame_size = frame[1]
+            fn.entry.filename = man.source_filename or filename
+            comp.rtl.functions[name] = fn.fn_rtl
+            comp.hli.add(fn.entry)
+            unit_chunks[name] = fn.unit_chunk
             active.append(name)
         if tier == "memory":
             self._bump("hits_memory")
@@ -1005,7 +1008,7 @@ class CompilationSession:
             self._remember(key, blob)
         _metrics.inc("session.cache.hit", tier)
         stats = PipelineStats(cached_prefix=tuple(p.name for p in prefix))
-        return comp, stats, dict(man.fe_keys), fn_states, active, units
+        return comp, stats, dict(man.fe_keys), fn_states, active, unit_chunks
 
     def _frontend_incremental(
         self,
@@ -1021,10 +1024,9 @@ class CompilationSession:
         """Manifest miss: rebuild only the functions whose keys changed.
 
         Parses (unavoidable — fingerprints need the checked AST), then
-        serves each function from the *back-end* tier first (fingerprint
-        and knobs both unchanged: splice the finished RTL, done), else
-        from the front-end tier (HLI entry + pristine RTL, back end
-        re-runs), building only the invalidated rest.  Pristine
+        resolves each function — a back-end hit splices the finished
+        RTL, a front-end hit the HLI entry + pristine RTL for the back
+        end to re-run — and builds only the invalidated rest.  Pristine
         artifacts are stored *before* the back end runs, so later edits
         can splice around this compile's functions.
         """
@@ -1055,97 +1057,60 @@ class CompilationSession:
         hli = HLIFile(source_filename=program.filename)
         frontend = builder.frontend_info()
         cached_rtl: dict[str, RTLFunction] = {}
-        be_installs: dict[str, tuple] = {}
-        units: dict[str, UnitInfo] = {}
+        be_installs: dict[str, _FnBlob] = {}
+        unit_chunks: dict[str, bytes] = {}
         fn_states: dict[str, str] = {}
         fresh: list[str] = []
-        any_hit = False
         with _trace.span("analysis.build_hli", file=filename):
             for fn in program.functions:
                 fe_key = keys.fe[fn.name]
-                if use_be:
-                    bkey = _be_key(fe_key, opts, backend_fp)
-                    bblob, btier = self._lookup(bkey)
-                    bdec = None
-                    if bblob is not None:
-                        try:
-                            bdec = _decode_fn_be(bblob, want_unit=True)
-                        except CacheCorruption as exc:
-                            self._evict_corrupt(bkey, btier, str(exc))
-                    if bdec is not None:
-                        entry = bdec[1]
-                        entry.filename = program.filename
-                        if btier == "memory":
-                            self._bump("be_hits_memory")
-                        else:
-                            self._bump("be_hits_disk")
-                            self._remember(bkey, bblob)
-                        self._bump("be_decodes")
-                        _metrics.inc("session.cache.be_hit", btier)
-                        # The be-final RTL splices like a pristine one:
-                        # frames re-lay in program order either way.
-                        cached_rtl[fn.name] = bdec[0]
-                        be_installs[fn.name] = bdec
-                        hli.add(entry)
-                        if bdec[5] is not None:
-                            frontend.units[fn.name] = bdec[5]
-                        fn_states[fn.name] = f"be:{btier}"
-                        any_hit = True
-                        continue
-                    self._bump("be_misses")
-                    _metrics.inc("session.cache.be_miss")
-                blob, tier = self._lookup(fe_key)
-                decoded = None
-                if blob is not None:
-                    try:
-                        decoded = _decode_fn_fe(blob)
-                    except CacheCorruption as exc:
-                        self._evict_corrupt(fe_key, tier, str(exc))
-                if decoded is not None:
-                    entry, unit, fn_rtl = decoded
-                    entry.filename = program.filename
-                    if tier == "memory":
-                        self._bump("fn_hits_memory")
-                    else:
-                        self._bump("fn_hits_disk")
-                        self._remember(fe_key, blob)
-                    self._bump("fe_decodes")
-                    _metrics.inc("session.cache.fn_hit", tier)
-                    cached_rtl[fn.name] = fn_rtl
-                    fn_states[fn.name] = f"fe:{tier}"
-                    any_hit = True
-                else:
+                bkey = _be_key(fe_key, opts, backend_fp) if use_be else None
+                hit = self._resolve_fn(fe_key, bkey, want_unit=True)
+                if hit is None:
                     self._bump("fn_misses")
                     _metrics.inc("session.cache.fn_miss")
                     entry, unit = builder.build_unit(fn)
                     fn_states[fn.name] = "cold"
                     fresh.append(fn.name)
+                else:
+                    kind, tier, dec = hit
+                    entry, unit = dec.entry, dec.unit
+                    entry.filename = program.filename
+                    # A be-final RTL splices like a pristine one: frames
+                    # re-lay in program order either way.
+                    cached_rtl[fn.name] = dec.fn_rtl
+                    fn_states[fn.name] = f"{kind}:{tier}"
+                    if kind == "be":
+                        be_installs[fn.name] = dec
+                    else:
+                        unit_chunks[fn.name] = dec.unit_chunk
                 hli.add(entry)
-                frontend.units[fn.name] = unit
-                units[fn.name] = unit
+                if unit is not None:
+                    frontend.units[fn.name] = unit
         stats.passes_run.append("hli-build")
         rtl = lower_program(program, table, cached=cached_rtl)
         stats.passes_run.append("lower")
         comp.hli, comp.frontend, comp.rtl = hli, frontend, rtl
-        for name, bdec in be_installs.items():
+        for name, dec in be_installs.items():
             # Lowering already replayed the frame on the spliced RTL.
-            self._install_be(comp, name, bdec, frame=None)
-        comp.cache_state = "incremental" if any_hit else "cold"
+            self._install_be(comp, name, dec, frame=None)
+        comp.cache_state = "incremental" if cached_rtl else "cold"
         active = [n for n in rtl.functions if n not in be_installs]
         # Store pristine artifacts before any back-end pass mutates them.
         with _trace.span("session.cache.store", fresh=len(fresh)):
             for name in fresh:
+                unit_chunks[name] = _binfmt.encode(frontend.units[name])
                 self._store(
                     keys.fe[name],
-                    _encode_fn_fe(hli.entries[name], frontend.units[name],
-                                  rtl.functions[name]),
+                    _encode_fn(_TAG_FE, hli.entries[name], rtl.functions[name],
+                               unit_chunks[name]),
                     kind="fe",
                 )
             self._store(key, _encode_manifest(comp, keys.fe), kind="manifest")
-        return comp, stats, dict(keys.fe), fn_states, active, units
+        return comp, stats, dict(keys.fe), fn_states, active, unit_chunks
 
     def _install_be(
-        self, comp: Compilation, name: str, decoded, frame=None
+        self, comp: Compilation, name: str, fn: _FnBlob, frame=None
     ) -> None:
         """Splice one function's finished back-end artifacts into ``comp``.
 
@@ -1156,27 +1121,26 @@ class CompilationSession:
         (the lowering splice replayed it, or the blob was produced by
         this very compile).
         """
-        fn_rtl, entry, map_stats, dep_stats, opt_frag, _unit = decoded
         if frame is not None:
             fmap, fsize = frame
-            fn_rtl.frame = dict(fmap)
-            fn_rtl.frame_size = fsize
-        comp.rtl.functions[name] = fn_rtl
-        entry.filename = comp.hli.source_filename or comp.filename
-        comp.hli.entries[name] = entry
-        comp.queries[name] = HLIQuery(entry)
-        if map_stats is not None:
-            comp.map_stats[name] = map_stats
-        if dep_stats is not None:
-            comp.dep_stats[name] = dep_stats
-        if opt_frag is not None:
+            fn.fn_rtl.frame = dict(fmap)
+            fn.fn_rtl.frame_size = fsize
+        comp.rtl.functions[name] = fn.fn_rtl
+        fn.entry.filename = comp.hli.source_filename or comp.filename
+        comp.hli.entries[name] = fn.entry
+        comp.queries[name] = HLIQuery(fn.entry)
+        if fn.map_stats is not None:
+            comp.map_stats[name] = fn.map_stats
+        if fn.dep_stats is not None:
+            comp.dep_stats[name] = fn.dep_stats
+        if fn.opt_frag is not None:
             if comp.opt_stats is None:
                 from ..backend.passes import OptStats
 
                 comp.opt_stats = OptStats()
-            comp.opt_stats.cse.merge(opt_frag.cse)
-            comp.opt_stats.licm.merge(opt_frag.licm)
-            comp.opt_stats.unroll.merge(opt_frag.unroll)
+            comp.opt_stats.cse.merge(fn.opt_frag.cse)
+            comp.opt_stats.licm.merge(fn.opt_frag.licm)
+            comp.opt_stats.unroll.merge(fn.opt_frag.unroll)
 
     def _run_suffix(self, prep: _Prepared) -> None:
         """Run the back-end suffix over the active units, then store them."""
@@ -1184,30 +1148,39 @@ class CompilationSession:
         initial = sorted({a for p in prep.prefix for a in p.provides})
         make_manager(prep.suffix).run(ctx, initial=initial, stats=prep.stats)
         prep.comp.pipeline_stats = prep.stats
-        self._store_backend(prep, ctx)
+        self._store_backend(prep, ctx.fn_opt_stats)
 
-    def _store_backend(self, prep: _Prepared, ctx: PassContext) -> None:
+    def _store_backend(self, prep: _Prepared, fn_opt_stats: dict) -> None:
+        """Store every active function's finished back-end blob.
+
+        The unit chunk is the one this compile already holds (encoded
+        for the front-end store, or copied raw from a front-end hit), so
+        no unit is encoded here.
+        """
         if not self.reuse_backend or not prep.active:
             return
         if not any(p.per_function for p in prep.suffix):
             return
         comp = prep.comp
         backend_fp = _backend_fp(prep.suffix)
-        for name in prep.active:
-            entry = comp.hli.entries.get(name)
-            fn = comp.rtl.functions.get(name)
-            fe_key = prep.fe_keys.get(name)
-            if entry is None or fn is None or fe_key is None:
-                continue
-            blob = _encode_fn_be(
-                fn,
-                entry,
-                comp.map_stats.get(name),
-                comp.dep_stats.get(name),
-                ctx.fn_opt_stats.get(name),
-                unit=prep.units.get(name),
-            )
-            self._store(_be_key(fe_key, prep.opts, backend_fp), blob, kind="be")
+        with _trace.span("session.cache.store", be=len(prep.active)):
+            for name in prep.active:
+                entry = comp.hli.entries.get(name)
+                fn = comp.rtl.functions.get(name)
+                fe_key = prep.fe_keys.get(name)
+                unit_chunk = prep.unit_chunks.get(name)
+                if entry is None or fn is None or fe_key is None or unit_chunk is None:
+                    continue
+                blob = _encode_fn(
+                    _TAG_BE,
+                    entry,
+                    fn,
+                    unit_chunk,
+                    comp.map_stats.get(name),
+                    comp.dep_stats.get(name),
+                    fn_opt_stats.get(name),
+                )
+                self._store(_be_key(fe_key, prep.opts, backend_fp), blob, kind="be")
 
     # -- batch / parallel ------------------------------------------------------
 
@@ -1215,53 +1188,34 @@ class CompilationSession:
         self,
         jobs: Sequence[tuple],
         max_workers: Optional[int] = None,
-        granularity: str = "auto",
     ) -> list[Compilation]:
         """Compile a batch of ``(source, filename[, options])`` jobs.
 
-        Fan-out happens at one of two granularities:
+        With spare workers (fewer jobs than workers) the fan-out is per
+        *function*: the front ends run in this process (through the
+        cache) and every invalidated function's back end becomes one pool
+        task, so a single large file still saturates the pool.  Otherwise
+        every job is its own one-job :meth:`compile_partitions` partition:
+        each worker process runs the whole pipeline over this session's
+        on-disk tier (the in-memory tier is per-process).
 
-        * ``"file"`` — one pool task per job; every worker process runs
-          the whole pipeline and shares this session's on-disk tier (the
-          in-memory tier is per-process).
-        * ``"function"`` — the front ends run in this process (through
-          the cache) and every *invalidated function's* back end becomes
-          one pool task, so a single large file still saturates the pool.
-
-        ``"auto"`` picks per-function when there are spare workers
-        (fewer jobs than workers), per-file otherwise.  Results come
-        back in job order.  ``max_workers=None`` uses
+        Results come back in job order.  ``max_workers=None`` uses
         :func:`resolve_workers` (the ``REPRO_JOBS`` environment
         variable, else one worker per core).
         """
         normalized = [_normalize_job(j) for j in jobs]
         if not normalized:
             return []
-        if granularity not in ("auto", "file", "function"):
-            raise ValueError("granularity must be 'auto', 'file', or 'function'")
         cap = resolve_workers(max_workers, 1 << 30)
-        if granularity == "auto":
-            granularity = "function" if len(normalized) < cap else "file"
         if cap <= 1:
             return [self._compile_job(job) for job in normalized]
-        if granularity == "function":
+        if len(normalized) < cap:
             return self._compile_many_functions(normalized, cap)
-        workers = min(cap, len(normalized))
-        if workers <= 1:
-            return [self._compile_job(job) for job in normalized]
-        from concurrent.futures import ProcessPoolExecutor
-
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        with _trace.span("session.compile_many", jobs=len(normalized), workers=workers):
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_compile_worker, cache_dir, job)
-                    for job in normalized
-                ]
-                results = [f.result() for f in futures]
-        for comp in results:
-            self._absorb_remote(comp)
-        return results
+        with _trace.span("session.compile_many", jobs=len(normalized), workers=cap):
+            parts = self.compile_partitions(
+                [[job] for job in normalized], max_workers=cap
+            )
+        return [comps[0] for comps in parts]
 
     def _compile_job(self, job: CompileJob) -> Compilation:
         """Compile one normalized job through this session's cache."""
@@ -1423,15 +1377,10 @@ class CompilationSession:
             tasks: list[tuple[int, str]] = []
             payloads: list[bytes] = []
             for idx, prep in enumerate(preps):
-                if prep is None:
+                if prep is None or not any(p.per_function for p in prep.suffix):
                     continue
-                has_per_fn = any(p.per_function for p in prep.suffix)
                 for name in prep.active:
-                    if not has_per_fn:
-                        continue
-                    payloads.append(
-                        _encode_fn_task(prep.comp, name, prep.opts)
-                    )
+                    payloads.append(_encode_fn_task(prep.comp, name, prep.opts))
                     tasks.append((idx, name))
             if payloads:
                 from concurrent.futures import ProcessPoolExecutor
@@ -1441,24 +1390,17 @@ class CompilationSession:
                     blobs = list(pool.map(_backend_fn_worker, payloads))
             else:
                 blobs = []
+            fn_opt_stats: dict[int, dict] = {}
             for (idx, name), blob in zip(tasks, blobs):
-                prep = preps[idx]
-                decoded = _decode_fn_be(blob)
-                self._install_be(prep.comp, name, decoded)
-                if self.reuse_backend:
-                    # Workers do not carry analysis units; re-encode with
-                    # ours so the stored blob can serve the want_unit path.
-                    fn_rtl, entry, ms, ds, of, _ = decoded
-                    self._store(
-                        _be_key(prep.fe_keys[name], prep.opts,
-                                _backend_fp(prep.suffix)),
-                        _encode_fn_be(fn_rtl, entry, ms, ds, of,
-                                      unit=prep.units.get(name)),
-                        kind="be",
-                    )
+                fn = _decode_fn(_TAG_BE, blob)
+                self._install_be(preps[idx].comp, name, fn)
+                fn_opt_stats.setdefault(idx, {})[name] = fn.opt_frag
             for idx, prep in enumerate(preps):
                 if prep is None:
                     continue
+                # Workers do not carry analysis units; the store pairs
+                # their results with this compile's unit chunks.
+                self._store_backend(prep, fn_opt_stats.get(idx, {}))
                 worker_fns = [name for (j, name) in tasks if j == idx]
                 # Per-function passes already ran in the pool; run the
                 # suffix over zero units so file-level passes (lint) and
@@ -1509,9 +1451,9 @@ def _encode_fn_task(comp: Compilation, name: str, opts: CompileOptions) -> bytes
 def _backend_fn_worker(payload: bytes) -> bytes:
     """Run the per-function back-end passes for one function, standalone.
 
-    The result is a verified back-end blob — the parent both splices it
-    into the compilation and stores it in the cache (after re-attaching
-    the analysis unit, which never crosses the pool boundary).
+    The result is a verified back-end blob without a unit (units never
+    cross the pool boundary): the parent splices it into the compilation
+    and stores it through ``_store_backend`` with its own unit chunk.
     """
     fname, name, fn_rtl, entry, opts = _binfmt.decode(payload)
     entry.filename = fname
@@ -1529,9 +1471,11 @@ def _backend_fn_worker(payload: bytes) -> bytes:
     per_fn = [p for p in suffix if p.per_function]
     initial = sorted({a for p in prefix for a in p.provides})
     make_manager(per_fn).run(ctx, initial=initial)
-    return _encode_fn_be(
-        comp.rtl.functions[name],
+    return _encode_fn(
+        _TAG_BE,
         entry,
+        comp.rtl.functions[name],
+        _binfmt.encode(None),
         comp.map_stats.get(name),
         comp.dep_stats.get(name),
         ctx.fn_opt_stats.get(name),
@@ -1547,10 +1491,6 @@ def _worker_session(cache_dir: Optional[str]) -> CompilationSession:
     if sess is None:
         sess = _WORKER_SESSIONS[cache_dir] = CompilationSession(cache_dir=cache_dir)
     return sess
-
-
-def _compile_worker(cache_dir: Optional[str], job: CompileJob) -> Compilation:
-    return _worker_session(cache_dir)._compile_job(job)
 
 
 def _compile_partition_worker(
@@ -1603,11 +1543,10 @@ def compile_many(
     jobs: Sequence[tuple],
     max_workers: Optional[int] = None,
     session: Optional[CompilationSession] = None,
-    granularity: str = "auto",
 ) -> list[Compilation]:
     """Module-level convenience: batch compile via ``session`` (or the default)."""
     sess = session if session is not None else default_session()
-    return sess.compile_many(jobs, max_workers=max_workers, granularity=granularity)
+    return sess.compile_many(jobs, max_workers=max_workers)
 
 
 # -- the default session -------------------------------------------------------

@@ -54,7 +54,8 @@ class TestCompileMany:
     def test_function_granularity_matches_serial(self, tmp_path):
         serial = CompilationSession().compile_many(_jobs(2), max_workers=1)
         sess = CompilationSession(cache_dir=tmp_path / "c")
-        par = sess.compile_many(_jobs(2), max_workers=2, granularity="function")
+        # fewer jobs than workers: the per-function fan-out
+        par = sess.compile_many(_jobs(2), max_workers=3)
         for a, b in zip(par, serial):
             assert {n: [i.op for i in f.insns] for n, f in a.rtl.functions.items()} \
                 == {n: [i.op for i in f.insns] for n, f in b.rtl.functions.items()}

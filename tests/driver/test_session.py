@@ -10,6 +10,7 @@ from repro.difftest.diff import build_matrix
 from repro.driver.session import (
     CacheCorruption,
     CompilationSession,
+    _decode_fn,
     _decode_manifest,
     _encode_manifest,
 )
@@ -18,6 +19,29 @@ from repro.obs import trace
 from tests.conftest import FIG2_SOURCE, SIMPLE_MAIN
 
 OTHER_SOURCE = "int x;\nint main() { x = 41; return x + 1; }\n"
+
+# `main` calls `fill`: editing main invalidates main alone, so `fill`
+# resolves from the per-function tiers on both the manifest-hit and the
+# manifest-miss path.
+TWO_FN_SOURCE = """\
+int g[16];
+int total;
+int fill(int k) {
+    int i;
+    for (i = 0; i < 16; i++) {
+        g[i] = i * k;
+    }
+    return g[3];
+}
+int main() {
+    int r = fill(2);
+    for (r = 0; r < 16; r++) {
+        total = total + g[r];
+    }
+    return total;
+}
+"""
+MAIN_EDITED = TWO_FN_SOURCE.replace("fill(2)", "fill(3)")
 
 
 @pytest.fixture()
@@ -234,6 +258,89 @@ class TestCorruption:
             _decode_manifest(bytes(blob))
 
 
+def _fn_blobs(cache_dir, tag: bytes) -> dict:
+    """Function name -> path of its per-function ``tag`` blob on disk."""
+    out = {}
+    for path in cache_dir.rglob("*.hlic"):
+        data = path.read_bytes()
+        if data[14:16] == tag:
+            out[_decode_fn(tag, data).fn_rtl.name] = path
+    return out
+
+
+class TestResolver:
+    """Both entry paths count a broken back-end blob the same way."""
+
+    @pytest.mark.parametrize("damage", ["corrupt", "delete"])
+    @pytest.mark.parametrize("source", [TWO_FN_SOURCE, MAIN_EDITED], ids=["hit", "miss"])
+    def test_broken_be_blob_falls_back_to_fe(self, tmp_path, damage, source):
+        d = tmp_path / "cache"
+        CompilationSession(cache_dir=d).compile(TWO_FN_SOURCE, "two.c")
+        path = _fn_blobs(d, b"BE")["fill"]
+        if damage == "corrupt":
+            blob = bytearray(path.read_bytes())
+            blob[-1] ^= 0xFF
+            path.write_bytes(bytes(blob))
+        else:
+            path.unlink()
+        sess = CompilationSession(cache_dir=d)
+        comp = sess.compile(source, "two.c")
+        st = sess.stats
+        edited = [n for n, v in comp.fn_cache_states.items() if v == "cold"]
+        assert edited == ([] if source == TWO_FN_SOURCE else ["main"])
+        assert (st.hits_disk, st.misses) == ((1, 0) if not edited else (0, 1))
+        assert comp.fn_cache_states["fill"] == "fe:disk"
+        # an edited function misses both tiers; fill's miss is the rest
+        assert st.be_misses - len(edited) == 1
+        assert st.fn_hits_disk == 1
+        assert st.corrupt == (1 if damage == "corrupt" else 0)
+        ref = compile_source(source, "two.c")
+        assert _opcodes(comp) == _opcodes(ref)
+        assert _dep_stats(comp) == _dep_stats(ref)
+
+
+class TestEncodeOnce:
+    def _count_unit_encodes(self, monkeypatch) -> list:
+        from repro import binfmt
+        from repro.analysis.builder import UnitInfo
+
+        calls = []
+        real = binfmt.encode
+
+        def counting(obj):
+            if isinstance(obj, UnitInfo):
+                calls.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(binfmt, "encode", counting)
+        return calls
+
+    def test_cold_compile_encodes_each_unit_once(self, tmp_path, monkeypatch):
+        d = tmp_path / "cache"
+        calls = self._count_unit_encodes(monkeypatch)
+        comp = CompilationSession(cache_dir=d).compile(TWO_FN_SOURCE, "two.c")
+        assert len(calls) == len(comp.rtl.functions) == 2
+        fe, be = _fn_blobs(d, b"FE"), _fn_blobs(d, b"BE")
+        assert sorted(fe) == sorted(be) == sorted(comp.rtl.functions)
+        for name in comp.rtl.functions:
+            fe_data, be_data = fe[name].read_bytes(), be[name].read_bytes()
+            chunk = _decode_fn(b"FE", fe_data).unit_chunk
+            assert chunk == _decode_fn(b"BE", be_data).unit_chunk
+            assert fe_data.endswith(chunk) and be_data.endswith(chunk)
+
+    def test_manifest_hit_restores_copy_the_unit_chunk(self, tmp_path, monkeypatch):
+        # new back-end knobs: every function restores from its fe blob
+        # and re-stores a be blob, without encoding a unit again
+        d = tmp_path / "cache"
+        CompilationSession(cache_dir=d).compile(TWO_FN_SOURCE, "two.c")
+        calls = self._count_unit_encodes(monkeypatch)
+        sess = CompilationSession(cache_dir=d)
+        comp = sess.compile(TWO_FN_SOURCE, "two.c", CompileOptions(mode=DDGMode.GCC))
+        assert all(v == "fe:disk" for v in comp.fn_cache_states.values())
+        assert sess.stats.be_stores == 2
+        assert calls == []
+
+
 class TestZeroPickleWarmPath:
     """The warm path must never unpickle — blobs and wire are binfmt-only."""
 
@@ -295,21 +402,6 @@ class TestShardedDisk:
             assert len(shard) == 2
             # shard dir + stem reassemble the full 64-hex key
             assert len(shard + f.stem) == 64
-
-    def test_flat_legacy_entry_is_migrated_on_first_touch(self, tmp_path):
-        d = tmp_path / "cache"
-        sess = CompilationSession(cache_dir=d)
-        sess.compile(SIMPLE_MAIN, "simple.c")
-        # flatten every sharded entry back into the legacy layout
-        for f in list(d.rglob("*.hlic")):
-            flat = d / (f.parent.name + f.stem + ".hlic")
-            f.rename(flat)
-        fresh = CompilationSession(cache_dir=d)
-        comp = fresh.compile(SIMPLE_MAIN, "simple.c")
-        assert comp.cache_state == "disk"
-        # the touched entry moved into its shard
-        moved = [f for f in d.rglob("*.hlic") if f.parent != d]
-        assert moved
 
     def test_disk_budget_evicts_lru_entries(self, tmp_path):
         d = tmp_path / "cache"
