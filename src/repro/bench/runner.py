@@ -25,6 +25,10 @@ iterations after W discarded warmup iterations:
   function codec, the generic :mod:`repro.binfmt` object graph (the
   serve wire payload), and the linker's persisted summary table, each
   verified on every decode (the ``decode-v1`` microbenchmark).
+* **sim** — simulator throughput per layer: the functional executor,
+  ``R4600Model.time`` and ``R10000Model.time``, each timed separately
+  and reported in M dynamic instructions per second, with the
+  ``sim.results_match`` fact (the ``sim-v1`` regression gate).
 * **wpa** — partitioned parallel whole-program back end: cold serial
   (``jobs=1``) vs cold partitioned (``jobs=N, partition=balanced``)
   latency per multi-unit program, the resulting ``parallel_speedup``,
@@ -50,7 +54,7 @@ from .report import Report
 
 __all__ = ["PATHS", "WPA_BENCH_JOBS", "run_set"]
 
-PATHS = ("session", "incremental", "serve", "decode", "wpa")
+PATHS = ("session", "incremental", "serve", "decode", "sim", "wpa")
 
 #: the deterministic, line-count-preserving edit the incremental path
 #: applies: an unused declaration at the head of ``main``'s body, so
@@ -313,6 +317,48 @@ def _decode(report: Report, progs: list[WorkloadProgram], n: int, w: int) -> dic
 
 
 # ---------------------------------------------------------------------------
+# sim path
+# ---------------------------------------------------------------------------
+
+def _sim(report: Report, prog: WorkloadProgram, n: int, w: int) -> dict:
+    """M dynamic instructions per second of ``execute``,
+    ``R4600Model.time`` and ``R10000Model.time`` over one program's
+    ``combined`` schedule, each layer timed on its own.  The program
+    matches when its ``gcc`` schedule returns and prints the same and
+    both models count every executed instruction."""
+    from ..driver.compile import compile_source
+    from ..machine.executor import execute
+    from ..machine.pipeline import R4600Model
+    from ..machine.superscalar import R10000Model
+    from ..workloads.suite import by_name
+
+    fname = prog.units[0][0]
+    try:  # curated suite programs keep their input stream
+        input_text = by_name(prog.name).input_text
+    except KeyError:
+        input_text = ""
+    comp = compile_source(prog.source, fname, _options())
+    exec_secs, res = _observe(lambda: execute(comp.rtl, input_text=input_text), n, w)
+    r4600_secs, t4600 = _observe(lambda: R4600Model().time(res.trace), n, w)
+    r10000_secs, t10000 = _observe(lambda: R10000Model().time(res.trace), n, w)
+    insns = len(res.trace)
+    for metric, secs in (
+        ("execute_minsn_per_s", exec_secs),
+        ("r4600_minsn_per_s", r4600_secs),
+        ("r10000_minsn_per_s", r10000_secs),
+    ):
+        report.add("sim", prog.name, prog.profile, metric, [insns / s / 1e6 for s in secs])
+
+    gcc = compile_source(prog.source, fname, CompileOptions(mode=DDGMode.GCC))
+    ref = execute(gcc.rtl, input_text=input_text, collect_trace=False)
+    match = (
+        (ref.ret, ref.output) == (res.ret, res.output)
+        and t4600.instructions == t10000.instructions == insns
+    )
+    return {"match": match}
+
+
+# ---------------------------------------------------------------------------
 # wpa path
 # ---------------------------------------------------------------------------
 
@@ -453,6 +499,19 @@ def run_set(
         facts = _decode(report, progs, iterations, warmup)
         report.facts["decode.roundtrip_ok"] = float(facts["roundtrip_ok"])
         report.facts["decode.blob_bytes"] = facts["blob_bytes"]
+
+    if "sim" in paths:
+        matched = 0
+        eligible = 0
+        for prog in progs:
+            if prog.multi_unit:
+                continue
+            say(f"sim: {prog.name}")
+            facts = _sim(report, prog, iterations, warmup)
+            eligible += 1
+            matched += bool(facts["match"])
+        if eligible:
+            report.facts["sim.results_match"] = matched / eligible
 
     if "wpa" in paths:
         parity_ok = 0

@@ -11,13 +11,23 @@ The machine is 32-bit MIPS-like: byte-addressed memory, C-style
 truncating integer division, wrap-around 32-bit integer arithmetic.
 External functions (printf, getchar, sqrt, malloc, ...) are serviced by
 built-in handlers so SPEC-shaped workloads run without an OS.
+
+Each function is decoded once per run, on its first call, into a list of
+uniform 6-tuples ``(kind, aux, dst, a, b, sid)``: ``kind`` is a small int
+(the ``_K_*`` codes), register operands are slots of a per-frame ``list``
+register file whose template pre-places every immediate in a constant
+slot (so each operand read is ``regs[i]``), branch targets are
+instruction indices, ALU operations are bound to one function per opcode
+and float-ness, and ``sid`` is the instruction's id in the program-wide
+static table of the :class:`Trace`.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from ..backend.rtl import Insn, Opcode, Reg, RTLFunction, RTLProgram
 from ..obs import metrics, trace
@@ -40,6 +50,82 @@ class TraceEvent:
     addr: Optional[int] = None
 
 
+#: ``Trace.addrs`` entry of a LOAD/STORE event whose address is ``None``
+NO_ADDR = -(1 << 63)
+
+
+def has_addr(insn: Insn) -> bool:
+    """Whether the trace keeps an address for each execution of ``insn``."""
+    return insn.op is Opcode.LOAD or insn.op is Opcode.STORE
+
+
+class Trace:
+    """A compact dynamic trace.
+
+    * ``insns`` — the program-wide static instruction table;
+    * ``ids`` — one static id per executed instruction (``array('I')``);
+    * ``addrs`` — one address per executed LOAD/STORE (``array('q')``),
+      :data:`NO_ADDR` standing for ``None``.
+
+    ``len(trace)`` is the dynamic instruction count.  Iterating yields a
+    :class:`TraceEvent` per executed instruction, built lazily; only
+    LOAD/STORE events carry an address.
+    """
+
+    __slots__ = ("insns", "ids", "addrs")
+
+    def __init__(self) -> None:
+        self.insns: list[Insn] = []
+        self.ids = array("I")
+        self.addrs = array("q")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        insns = self.insns
+        with_addr = [has_addr(i) for i in insns]
+        addrs = iter(self.addrs)
+        for sid in self.ids:
+            if with_addr[sid]:
+                a = next(addrs)
+                yield TraceEvent(insns[sid], None if a == NO_ADDR else a)
+            else:
+                yield TraceEvent(insns[sid])
+
+    @classmethod
+    def from_events(cls, events: Iterable[TraceEvent]) -> Trace:
+        """Pack ``events`` (a ``Trace`` is returned as it is)."""
+        if isinstance(events, Trace):
+            return events
+        out = cls()
+        index: dict[int, int] = {}
+        for ev in events:
+            insn = ev.insn
+            sid = index.get(id(insn))
+            if sid is None:
+                sid = index[id(insn)] = len(out.insns)
+                out.insns.append(insn)
+            out.ids.append(sid)
+            if has_addr(insn):
+                out.addrs.append(NO_ADDR if ev.addr is None else ev.addr)
+        return out
+
+    def register_slots(self) -> tuple[list[tuple[int, ...]], list[Optional[int]], int]:
+        """Per static instruction, its source-register slots (in
+        ``Insn.src_regs()`` order) and its destination slot (``None`` if
+        it writes none), dense over the registers the table names; plus
+        the number of slots."""
+        slots: dict[int, int] = {}
+        srcs: list[tuple[int, ...]] = []
+        dsts: list[Optional[int]] = []
+        for insn in self.insns:
+            srcs.append(tuple(slots.setdefault(r.rid, len(slots)) for r in insn.src_regs()))
+            d = insn.dst
+            dsts.append(None if d is None else slots.setdefault(d.rid, len(slots)))
+        return srcs, dsts, len(slots)
+
+
 @dataclass
 class ExecResult:
     """Observable outcome of one program run."""
@@ -47,7 +133,7 @@ class ExecResult:
     ret: object = None
     output: list[str] = field(default_factory=list)
     steps: int = 0
-    trace: list[TraceEvent] = field(default_factory=list)
+    trace: Trace = field(default_factory=Trace)
     memory: dict[int, object] = field(default_factory=dict)
 
 
@@ -67,6 +153,146 @@ def _cmod(a: int, b: int) -> int:
     return a - _cdiv(a, b) * b
 
 
+#: integer semantics of each ALU opcode (also the float semantics of
+#: every opcode missing from ``_ALU_FLOAT``)
+_ALU_INT: dict[Opcode, Callable] = {
+    Opcode.ADD: lambda a, b: _s32(int(a + b)),
+    Opcode.SUB: lambda a, b: _s32(int(a - b)),
+    Opcode.MUL: lambda a, b: _s32(int(a * b)),
+    Opcode.DIV: lambda a, b: _s32(_cdiv(int(a), int(b))),
+    Opcode.MOD: lambda a, b: _s32(_cmod(int(a), int(b))),
+    Opcode.NEG: lambda a: _s32(-int(a)),
+    Opcode.NOT: lambda a: _s32(~int(a)),
+    Opcode.AND: lambda a, b: _s32(int(a) & int(b)),
+    Opcode.OR: lambda a, b: _s32(int(a) | int(b)),
+    Opcode.XOR: lambda a, b: _s32(int(a) ^ int(b)),
+    Opcode.SHL: lambda a, b: _s32(int(a) << (int(b) & 31)),
+    Opcode.SHR: lambda a, b: _s32(int(a) >> (int(b) & 31)),
+    Opcode.SLT: lambda a, b: 1 if a < b else 0,
+    Opcode.SLE: lambda a, b: 1 if a <= b else 0,
+    Opcode.SEQ: lambda a, b: 1 if a == b else 0,
+    Opcode.SNE: lambda a, b: 1 if a != b else 0,
+    Opcode.CVT_IF: lambda a: float(a),
+    Opcode.CVT_FI: lambda a: _s32(int(a)),
+}
+
+_ALU_FLOAT: dict[Opcode, Callable] = {
+    Opcode.ADD: lambda a, b: a + b,
+    Opcode.SUB: lambda a, b: a - b,
+    Opcode.MUL: lambda a, b: a * b,
+    Opcode.DIV: lambda a, b: a / b if b != 0 else math.inf,
+    Opcode.NEG: lambda a: -a,
+}
+
+_UNARY = {Opcode.NEG, Opcode.NOT, Opcode.CVT_IF, Opcode.CVT_FI}
+#: integer opcodes checked for a zero divisor, with the word their error uses
+_BY_ZERO = {Opcode.DIV: "division", Opcode.MOD: "modulo"}
+
+# Decoded kind codes, numbered in the order the executor loop tests them.
+_K_ALU2 = 0  # regs[dst] = aux(regs[a], regs[b])
+_K_LOAD = 1  # regs[dst] = memory.get(regs[a], aux)
+_K_MOVE = 2  # regs[dst] = regs[a]  (MOVE, LI, LA)
+_K_SKIP = 3  # LABEL, NOP: a step, not an executed instruction
+_K_STORE = 4  # memory[regs[a]] = regs[b]
+_K_BNEZ = 5  # if regs[a] != 0: pc = dst
+_K_BEQZ = 6  # if regs[a] == 0: pc = dst
+_K_J = 7  # pc = dst
+_K_ALU1 = 8  # regs[dst] = aux(regs[a])
+_K_CALL = 9  # regs[dst] = call aux(*regs[a...])
+_K_RET = 10  # return regs[dst]
+_K_IDIV = 11  # aux = (fn, message): integer DIV/MOD, raises when regs[b] == 0
+_K_FAIL = 12  # raises ExecutionError(aux) when executed
+
+
+@dataclass
+class _Decoded:
+    """One function in the executor's pre-decoded form."""
+
+    name: str
+    code: list[tuple]
+    template: list
+    param_slots: list[int]
+
+
+def _decode(fn: RTLFunction, base: int, layout: dict[str, tuple[int, int]]) -> _Decoded:
+    """Decode ``fn``; its instruction ``i`` gets static id ``base + i``."""
+    template: list = []
+    reg_slots: dict[int, int] = {}
+    const_slots: dict[tuple, int] = {}
+
+    def reg(r: Reg) -> int:
+        s = reg_slots.get(r.rid)
+        if s is None:
+            s = reg_slots[r.rid] = len(template)
+            template.append(0)  # a register never written reads 0
+        return s
+
+    def const(v: object) -> int:
+        key = (type(v), repr(v))  # repr keeps -0.0 apart from 0.0
+        s = const_slots.get(key)
+        if s is None:
+            s = const_slots[key] = len(template)
+            template.append(v)
+        return s
+
+    def operand(x: object) -> int:
+        return reg(x) if isinstance(x, Reg) else const(x)
+
+    labels = fn.labels()
+    code: list[tuple] = []
+    for idx, insn in enumerate(fn.insns):
+        sid = base + idx
+        op = insn.op
+        if op is Opcode.LABEL or op is Opcode.NOP:
+            row: tuple = (_K_SKIP, None, None, None, None, sid)
+        elif op is Opcode.LI:
+            row = (_K_MOVE, None, reg(insn.dst), const(insn.imm), None, sid)
+        elif op is Opcode.MOVE:
+            row = (_K_MOVE, None, reg(insn.dst), operand(insn.srcs[0]), None, sid)
+        elif op is Opcode.LA:
+            where = layout.get(insn.symbol)
+            if where is None:
+                row = (_K_FAIL, f"unknown symbol '{insn.symbol}'", None, None, None, sid)
+            else:
+                row = (_K_MOVE, None, reg(insn.dst), const(where[0]), None, sid)
+        elif op is Opcode.LOAD:
+            default = 0.0 if insn.is_float else 0
+            row = (_K_LOAD, default, reg(insn.dst), operand(insn.mem.addr), None, sid)
+        elif op is Opcode.STORE:
+            row = (_K_STORE, None, None, operand(insn.mem.addr), operand(insn.srcs[0]), sid)
+        elif op is Opcode.J:
+            row = (_K_J, None, labels[insn.label], None, None, sid)
+        elif op is Opcode.BEQZ or op is Opcode.BNEZ:
+            kind = _K_BEQZ if op is Opcode.BEQZ else _K_BNEZ
+            row = (kind, None, labels[insn.label], operand(insn.srcs[0]), None, sid)
+        elif op is Opcode.CALL:
+            dst = None if insn.dst is None else reg(insn.dst)
+            args = tuple(operand(s) for s in insn.srcs)
+            row = (_K_CALL, insn.callee, dst, args, None, sid)
+        elif op is Opcode.RET:
+            ret = None if fn.ret_reg is None else reg(fn.ret_reg)
+            row = (_K_RET, None, ret, None, None, sid)
+        elif op in _ALU_INT:
+            table = _ALU_FLOAT if insn.is_float and op in _ALU_FLOAT else _ALU_INT
+            f = table[op]
+            a = operand(insn.srcs[0])
+            b = None
+            if op not in _UNARY:  # a missing second operand reads None
+                b = operand(insn.srcs[1]) if len(insn.srcs) > 1 else const(None)
+            if b is None:
+                row = (_K_ALU1, f, reg(insn.dst), a, None, sid)
+            elif table is _ALU_INT and op in _BY_ZERO:
+                msg = f"integer {_BY_ZERO[op]} by zero at line {insn.line}"
+                row = (_K_IDIV, (f, msg), reg(insn.dst), a, b, sid)
+            else:
+                row = (_K_ALU2, f, reg(insn.dst), a, b, sid)
+        else:  # pragma: no cover
+            row = (_K_FAIL, f"unhandled opcode {op}", None, None, None, sid)
+        code.append(row)
+    params = [reg(r) for r in fn.param_regs]
+    return _Decoded(fn.name, code, template, params)
+
+
 class Executor:
     """Interpret an RTL program."""
 
@@ -84,10 +310,13 @@ class Executor:
         self.max_steps = max_steps
         self.collect_trace = collect_trace
         self.steps = 0
-        self.trace: list[TraceEvent] = []
+        #: steps spent on LABEL/NOP, which are not executed instructions
+        self.skipped = 0
+        self.trace = Trace()
         self.output: list[str] = []
         self._heap_next = 0x4000000
         self._rand_state = 12345
+        self._decoded: dict[str, _Decoded] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -100,7 +329,7 @@ class Executor:
             except _ExitProgram as e:
                 ret = e.code
         if metrics.is_enabled():
-            metrics.add("machine.dynamic_insns", len(self.trace))
+            metrics.add("machine.dynamic_insns", self.steps - self.skipped)
             metrics.add("machine.steps", self.steps)
         return ExecResult(
             ret=ret,
@@ -116,140 +345,93 @@ class Executor:
         handler = _EXTERNALS.get(name)
         if handler is not None:
             return handler(self, args)
-        fn = self.program.functions.get(name)
-        if fn is None:
-            raise ExecutionError(f"call to unknown function '{name}'")
-        return self._run_function(fn, args)
+        decoded = self._decoded.get(name)
+        if decoded is None:
+            fn = self.program.functions.get(name)
+            if fn is None:
+                raise ExecutionError(f"call to unknown function '{name}'")
+            static = self.trace.insns
+            decoded = _decode(fn, len(static), self.program.globals_layout)
+            static.extend(fn.insns)
+            self._decoded[name] = decoded
+        return self._run_function(decoded, args)
 
-    def _run_function(self, fn: RTLFunction, args: tuple) -> object:
-        regs: dict[int, object] = {}
-        for reg, val in zip(fn.param_regs, args):
-            regs[reg.rid] = val
-        labels = fn.labels()
-        insns = fn.insns
-        pc = 0
-        n = len(insns)
+    def _run_function(self, fn: _Decoded, args: tuple) -> object:
+        regs = fn.template.copy()
+        for slot, val in zip(fn.param_slots, args):
+            regs[slot] = val
+        code = fn.code
+        n = len(code)
         mem = self.memory
-        trace = self.trace
         collect = self.collect_trace
+        ids_append = self.trace.ids.append
+        addrs_append = self.trace.addrs.append
+        max_steps = self.max_steps
+        # the step counters live in locals and are written back before
+        # every call, return and raise
+        steps = self.steps
+        skipped = self.skipped
+        pc = 0
         while pc < n:
-            self.steps += 1
-            if self.steps > self.max_steps:
+            steps += 1
+            if steps > max_steps:
+                self.steps, self.skipped = steps, skipped
                 raise ExecutionError(f"step limit exceeded in {fn.name}")
-            insn = insns[pc]
-            op = insn.op
-            addr: Optional[int] = None
-            if op is Opcode.LABEL or op is Opcode.NOP:
-                pc += 1
-                continue
-            if op is Opcode.LI:
-                regs[insn.dst.rid] = insn.imm
-            elif op is Opcode.MOVE:
-                regs[insn.dst.rid] = self._val(regs, insn.srcs[0])
-            elif op is Opcode.LA:
-                addr_v = self.program.globals_layout.get(insn.symbol)
-                if addr_v is None:
-                    raise ExecutionError(f"unknown symbol '{insn.symbol}'")
-                regs[insn.dst.rid] = addr_v[0]
-            elif op is Opcode.LOAD:
-                addr = self._val(regs, insn.mem.addr)
-                regs[insn.dst.rid] = mem.get(addr, 0.0 if insn.is_float else 0)
-            elif op is Opcode.STORE:
-                addr = self._val(regs, insn.mem.addr)
-                mem[addr] = self._val(regs, insn.srcs[0])
-            elif op is Opcode.J:
-                if collect:
-                    trace.append(TraceEvent(insn))
-                pc = labels[insn.label]
-                continue
-            elif op is Opcode.BEQZ or op is Opcode.BNEZ:
-                cond = self._val(regs, insn.srcs[0])
-                taken = (cond == 0) if op is Opcode.BEQZ else (cond != 0)
-                if collect:
-                    trace.append(TraceEvent(insn))
-                if taken:
-                    pc = labels[insn.label]
-                    continue
-                pc += 1
-                continue
-            elif op is Opcode.CALL:
-                if collect:
-                    trace.append(TraceEvent(insn))
-                call_args = tuple(self._val(regs, s) for s in insn.srcs)
-                result = self._call(insn.callee, call_args)
-                if insn.dst is not None:
-                    regs[insn.dst.rid] = result
-                pc += 1
-                continue
-            elif op is Opcode.RET:
-                if collect:
-                    trace.append(TraceEvent(insn))
-                if fn.ret_reg is not None and fn.ret_reg.rid in regs:
-                    return regs[fn.ret_reg.rid]
-                return 0
-            else:
-                regs[insn.dst.rid] = self._alu(insn, regs)
-            if collect:
-                trace.append(TraceEvent(insn, addr))
+            kind, aux, dst, a, b, sid = code[pc]
             pc += 1
+            if kind == _K_ALU2:
+                regs[dst] = aux(regs[a], regs[b])
+            elif kind == _K_LOAD:
+                addr = regs[a]
+                regs[dst] = mem.get(addr, aux)
+                if collect:
+                    addrs_append(addr)
+            elif kind == _K_MOVE:
+                regs[dst] = regs[a]
+            elif kind == _K_SKIP:
+                skipped += 1
+                continue
+            elif kind == _K_STORE:
+                addr = regs[a]
+                mem[addr] = regs[b]
+                if collect:
+                    addrs_append(addr)
+            elif kind == _K_BNEZ:
+                if regs[a] != 0:
+                    pc = dst
+            elif kind == _K_BEQZ:
+                if regs[a] == 0:
+                    pc = dst
+            elif kind == _K_J:
+                pc = dst
+            elif kind == _K_ALU1:
+                regs[dst] = aux(regs[a])
+            elif kind == _K_CALL:
+                if collect:
+                    ids_append(sid)
+                self.steps, self.skipped = steps, skipped
+                result = self._call(aux, tuple([regs[s] for s in a]))
+                steps, skipped = self.steps, self.skipped
+                if dst is not None:
+                    regs[dst] = result
+                continue
+            elif kind == _K_RET:
+                if collect:
+                    ids_append(sid)
+                self.steps, self.skipped = steps, skipped
+                return 0 if dst is None else regs[dst]
+            elif kind == _K_IDIV:
+                if regs[b] == 0:
+                    self.steps, self.skipped = steps, skipped
+                    raise ExecutionError(aux[1])
+                regs[dst] = aux[0](regs[a], regs[b])
+            else:  # _K_FAIL
+                self.steps, self.skipped = steps, skipped
+                raise ExecutionError(aux)
+            if collect:
+                ids_append(sid)
+        self.steps, self.skipped = steps, skipped
         return 0
-
-    @staticmethod
-    def _val(regs: dict[int, object], src) -> object:
-        if isinstance(src, Reg):
-            return regs.get(src.rid, 0)
-        return src
-
-    def _alu(self, insn: Insn, regs: dict[int, object]) -> object:
-        op = insn.op
-        a = self._val(regs, insn.srcs[0])
-        b = self._val(regs, insn.srcs[1]) if len(insn.srcs) > 1 else None
-        if op is Opcode.ADD:
-            r = a + b
-            return r if insn.is_float else _s32(int(r))
-        if op is Opcode.SUB:
-            r = a - b
-            return r if insn.is_float else _s32(int(r))
-        if op is Opcode.MUL:
-            r = a * b
-            return r if insn.is_float else _s32(int(r))
-        if op is Opcode.DIV:
-            if insn.is_float:
-                return a / b if b != 0 else math.inf
-            if b == 0:
-                raise ExecutionError(f"integer division by zero at line {insn.line}")
-            return _s32(_cdiv(int(a), int(b)))
-        if op is Opcode.MOD:
-            if b == 0:
-                raise ExecutionError(f"integer modulo by zero at line {insn.line}")
-            return _s32(_cmod(int(a), int(b)))
-        if op is Opcode.NEG:
-            return -a if insn.is_float else _s32(-int(a))
-        if op is Opcode.NOT:
-            return _s32(~int(a))
-        if op is Opcode.AND:
-            return _s32(int(a) & int(b))
-        if op is Opcode.OR:
-            return _s32(int(a) | int(b))
-        if op is Opcode.XOR:
-            return _s32(int(a) ^ int(b))
-        if op is Opcode.SHL:
-            return _s32(int(a) << (int(b) & 31))
-        if op is Opcode.SHR:
-            return _s32(int(a) >> (int(b) & 31))
-        if op is Opcode.SLT:
-            return 1 if a < b else 0
-        if op is Opcode.SLE:
-            return 1 if a <= b else 0
-        if op is Opcode.SEQ:
-            return 1 if a == b else 0
-        if op is Opcode.SNE:
-            return 1 if a != b else 0
-        if op is Opcode.CVT_IF:
-            return float(a)
-        if op is Opcode.CVT_FI:
-            return _s32(int(a))
-        raise ExecutionError(f"unhandled opcode {op}")  # pragma: no cover
 
     # -- externals ----------------------------------------------------------------
 

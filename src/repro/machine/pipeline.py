@@ -17,10 +17,11 @@ load-use slot, which is where the paper's R4600 speedups come from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Union
 
 from ..backend.rtl import Opcode
 from ..obs import metrics, trace
-from .executor import TraceEvent
+from .executor import NO_ADDR, Trace, TraceEvent, has_addr
 from .latencies import r4600_latency
 
 _BRANCHES = {Opcode.J, Opcode.BEQZ, Opcode.BNEZ}
@@ -52,44 +53,64 @@ class R4600Model:
         self.branch_penalty = branch_penalty
         self.cache = cache
 
-    def time(self, events: list[TraceEvent]) -> TimingResult:
+    def time(self, events: Union[Trace, Iterable[TraceEvent]]) -> TimingResult:
         with trace.span("machine.time", machine=self.name):
-            result = self._time(events)
+            result = self._time(Trace.from_events(events))
         if metrics.is_enabled():
             metrics.add("machine.cycles.r4600", result.cycles)
             metrics.add("machine.insns.r4600", result.instructions)
         return result
 
-    def _time(self, trace: list[TraceEvent]) -> TimingResult:
-        ready: dict[int, int] = {}
+    def _table(self, tr: Trace) -> tuple[list, int]:
+        """Per static instruction: ``None`` for a LABEL, else ``(source
+        slots, destination slot, latency, cycles added after issue, mem)``
+        where ``mem`` is 0 when no address is read, 1 when the address is
+        only consumed, 2 when the cache charges it.  Plus the slot count."""
+        srcs, dsts, nslots = tr.register_slots()
+        cache = self.cache
+        table: list = []
+        for sid, insn in enumerate(tr.insns):
+            op = insn.op
+            if op is Opcode.LABEL:
+                table.append(None)
+                continue
+            # a call drains the pipeline
+            post = self.branch_penalty if op in _BRANCHES else 1 if op is Opcode.CALL else 0
+            mem = 0
+            if cache is not None and has_addr(insn):
+                mem = 2 if insn.mem is not None else 1
+            table.append((srcs[sid], dsts[sid], r4600_latency(insn), post, mem))
+        return table, nslots
+
+    def _time(self, tr: Trace) -> TimingResult:
+        table, nslots = self._table(tr)
+        ready = [0] * nslots
         clock = 0
-        count = 0
-        penalty = self.branch_penalty
+        labels = 0
         cache = self.cache
         if cache is not None:
             cache.reset()
-        for ev in trace:
-            insn = ev.insn
-            op = insn.op
-            if op is Opcode.LABEL:
+        addrs = iter(tr.addrs)
+        for sid in tr.ids:
+            entry = table[sid]
+            if entry is None:
+                labels += 1
                 continue
-            count += 1
+            srcs, dst, lat, post, mem = entry
             issue = clock + 1
-            for src in insn.src_regs():
-                t = ready.get(src.rid, 0)
+            for s in srcs:
+                t = ready[s]
                 if t > issue:
                     issue = t
-            extra = 0
-            if cache is not None and insn.mem is not None and ev.addr is not None:
-                extra = cache.penalty(ev.addr)
-            if insn.dst is not None:
-                ready[insn.dst.rid] = issue + r4600_latency(insn) + extra
-            elif extra:
-                issue += extra  # a missing store occupies the bus
-            if op in _BRANCHES:
-                issue += penalty
-            elif op is Opcode.CALL:
-                # Pipeline drain on call boundaries.
-                issue += 1
-            clock = issue
-        return TimingResult(cycles=clock, instructions=count)
+            if mem:
+                addr = next(addrs)
+                if mem == 2 and addr != NO_ADDR:
+                    extra = cache.penalty(addr)
+                    if dst is None:
+                        issue += extra  # a missing store occupies the bus
+                    else:
+                        lat += extra
+            if dst is not None:
+                ready[dst] = issue + lat
+            clock = issue + post
+        return TimingResult(cycles=clock, instructions=len(tr.ids) - labels)

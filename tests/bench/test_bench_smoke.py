@@ -100,6 +100,22 @@ class TestStandaloneHarnesses:
         assert doc["facts"]["decode.blob_bytes"] > 0
 
 
+    def test_sim_path_gates(self, tmp_path):
+        # one-iteration sim-v1 run through the real CLI, gated against
+        # the committed throughput floors
+        from repro.bench.cli import main as bench_main
+
+        out = tmp_path / "sim.json"
+        rc = bench_main([
+            "--set", "quick-v1", "--paths", "sim",
+            "--iterations", "1", "--warmup", "0", "--quiet",
+            "--gate", str(REPO_ROOT / "benchmarks/baselines/sim-v1.json"),
+            "--out", str(out),
+        ])
+        assert rc == 0
+        assert _json_at(out)["facts"]["sim.results_match"] == 1.0
+
+
 _PYTEST_SELECTIONS = {
     "bench_ablations.py": "test_merge_rules_shrink_hli and tomcatv",
     "bench_cache_sensitivity.py": "test_cache_adds_stalls_r4600",

@@ -166,6 +166,17 @@ class TestExternals:
         src = "int f() { exit(3); return 0; }"
         assert run(src, "f").ret == 3
 
+    def test_exit_from_callee_keeps_the_callees_steps(self):
+        src = (
+            "int g;\nint h(int n) { g = n; if (n > 2) exit(n + 2); return n; }\n"
+            "int f() { int i, s; s = 0; for (i = 0; i < 10; i++) s += h(i); return s; }"
+        )
+        res = run(src, "f")
+        assert res.ret == 5
+        # pinned from the per-object executor: every step of both frames
+        # counts, up to the call of exit
+        assert (res.steps, len(res.trace)) == (77, 67)
+
     def test_rand_deterministic(self):
         src = "int f() { return rand() % 1000; }"
         assert run(src, "f").ret == run(src, "f").ret
@@ -184,7 +195,37 @@ class TestTrace:
         src = "int f() { return 1; }"
         comp = compile_source(src, "t.c", CompileOptions(schedule=False))
         res = execute(comp.rtl, "f", collect_trace=False)
-        assert res.trace == []
+        assert len(res.trace) == 0
+
+    def test_trace_iterates_as_events_and_repacks(self):
+        from repro.backend.rtl import Opcode
+        from repro.machine.executor import Trace
+        from repro.machine.pipeline import R4600Model
+        from repro.machine.superscalar import R10000Model
+
+        src = (
+            "int a[8];\nint f() { int i, s; s = 0;"
+            " for (i = 0; i < 8; i++) { a[i] = i; s += a[7 - i]; } return s; }"
+        )
+        comp = compile_source(src, "t.c", CompileOptions())
+        res = execute(comp.rtl, "f")
+        events = list(res.trace)
+        assert len(events) == len(res.trace)
+        for ev in events:
+            is_mem = ev.insn.op in (Opcode.LOAD, Opcode.STORE)
+            assert (ev.addr is not None) == is_mem
+        repacked = Trace.from_events(events)
+        assert [(e.insn, e.addr) for e in repacked] == [(e.insn, e.addr) for e in events]
+        for model in (R4600Model(), R10000Model()):
+            assert model.time(events) == model.time(res.trace) == model.time(repacked)
+
+    def test_packed_none_address_stays_none(self):
+        from repro.backend.rtl import Insn, MemRef, Opcode, new_reg
+        from repro.machine.executor import Trace, TraceEvent
+
+        load = Insn(Opcode.LOAD, dst=new_reg(), mem=MemRef(addr=new_reg()))
+        events = [TraceEvent(load, None), TraceEvent(load, 0), TraceEvent(load, -4)]
+        assert [ev.addr for ev in Trace.from_events(events)] == [None, 0, -4]
 
 
 class TestPropertySemantics:

@@ -142,6 +142,21 @@ class TestMachineCounters:
         assert c["machine.cycles.r4600"] > 0
         assert c["machine.cycles.r10000"] > 0
 
+    @pytest.mark.parametrize("collect_trace", [True, False])
+    def test_dynamic_insns_counts_executed_instructions(self, collect_trace):
+        # validate, difftest and wpa execute without a trace; the counter
+        # must count their instructions all the same
+        from repro.machine.executor import execute
+
+        comp = compile_source(SIMPLE_MAIN, "simple.c", CompileOptions())
+        executed = len(execute(comp.rtl).trace)
+        assert executed > 0
+        with obs.enabled_scope():
+            res = execute(comp.rtl, collect_trace=collect_trace)
+        c = metrics.counters()
+        assert c["machine.dynamic_insns"] == executed
+        assert c["machine.steps"] == res.steps > executed  # labels are steps
+
 
 class TestLintCounters:
     def test_checker_lint_span_and_counters(self):
